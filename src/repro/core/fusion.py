@@ -37,21 +37,12 @@ from .fusion_rules import FusionRule, MaxMagnitudeRule
 class FusionResult:
     """Fused frame plus the intermediate pyramids (for inspection).
 
-    ``pyramids`` holds every source's pyramid in input order; the
-    historical ``pyramid_a`` / ``pyramid_b`` names read the first two.
+    ``pyramids`` holds every source's pyramid in input order.
     """
 
     fused: np.ndarray
     pyramids: Tuple[DtcwtPyramid, ...]
     pyramid_fused: DtcwtPyramid
-
-    @property
-    def pyramid_a(self) -> DtcwtPyramid:
-        return self.pyramids[0]
-
-    @property
-    def pyramid_b(self) -> DtcwtPyramid:
-        return self.pyramids[1]
 
 
 @dataclass

@@ -16,8 +16,8 @@ stages an executor may run concurrently), a *mid chain*
 order), and an ordered finalize — and executors drive those names
 through :meth:`FrameProcessor.run_stage`.  The default hooks describe
 the paper's canonical pipeline (``visible``/``thermal`` forwards, then
-``fuse``), so a plain processor that only implements the abstract
-stage methods behaves exactly as before the plan API existed.
+``fuse``), so a processor that only implements ``ingest``,
+``run_stage`` and ``finalize`` runs that pipeline.
 
 Determinism is a design invariant, not an accident: every stage's
 arithmetic is bound to the frame's *assigned* engine, never to the
@@ -111,12 +111,13 @@ class ExecStats:
 class FrameProcessor(ABC):
     """The staged work of fusing one frame, independent of scheduling.
 
-    An executor calls the stages in dataflow order for every frame:
-    ``ingest`` (ordered, stateful: normalisation, rig calibration,
-    engine selection), ``forward_visible`` / ``forward_thermal``
-    (pure; may run concurrently, also with other frames' forwards),
-    ``fuse`` (coefficient fusion + inverse transform; ordered when
-    :attr:`sequential_fuse` is set), and ``finalize`` (ordered,
+    An executor drives every frame through ``ingest`` (ordered,
+    stateful: normalisation, rig calibration, engine selection), then
+    the stage names the processor advertises — the parallel wave
+    (:meth:`parallel_stages`: pure, may run concurrently, also with
+    other frames' stages) and the mid chain (:meth:`mid_stages`, in
+    order; on one ordered lane when :attr:`sequential_mid` is set) —
+    each through :meth:`run_stage`, and finally ``finalize`` (ordered,
     stateful: monitoring, telemetry, aggregation).
 
     ``ctx`` arguments are opaque worker contexts from
@@ -126,17 +127,11 @@ class FrameProcessor(ABC):
     """
 
     @property
-    def sequential_fuse(self) -> bool:
-        """True when the fuse stage is stateful across frames (e.g.
-        temporal fusion) and must run in frame order on one thread."""
-        return False
-
-    @property
     def sequential_mid(self) -> bool:
         """True when the whole mid chain must run in frame order on a
-        single ordered lane (a stateful stage sits in it).  Defaults
-        to :attr:`sequential_fuse`, the pre-plan spelling."""
-        return self.sequential_fuse
+        single ordered lane (a stateful stage, e.g. temporal fusion,
+        sits in it)."""
+        return False
 
     def parallel_stages(self) -> Tuple[str, ...]:
         """Stage names of the parallel wave, dispatchable concurrently
@@ -153,20 +148,11 @@ class FrameProcessor(ABC):
         canonical forwards share one ``forward`` bucket)."""
         return {"visible": "forward", "thermal": "forward"}.get(name, name)
 
+    @abstractmethod
     def run_stage(self, name: str, task: Any,
                   ctx: Optional[object] = None) -> None:
         """Execute the named stage on ``task`` — the one entry point
         executors use for every stage between ingest and finalize."""
-        if name == "visible":
-            self.forward_visible(task, ctx)
-        elif name == "thermal":
-            self.forward_thermal(task, ctx)
-        elif name == "fuse":
-            self.fuse(task, ctx)
-        else:
-            raise ConfigurationError(
-                f"{type(self).__name__} does not know stage {name!r}; "
-                f"plan-driven processors must override run_stage()")
 
     def stage_wall_snapshot(self) -> Dict[str, float]:
         """Cumulative measured per-stage wall seconds (default: the
@@ -208,20 +194,9 @@ class FrameProcessor(ABC):
     def ingest(self, pair: Any, index: int) -> Any:
         """Turn a raw frame pair into a task (ordered, stateful)."""
 
-    @abstractmethod
-    def forward_visible(self, task: Any, ctx: Optional[object] = None) -> None:
-        """Forward DT-CWT of the visible frame."""
-
-    @abstractmethod
-    def forward_thermal(self, task: Any, ctx: Optional[object] = None) -> None:
-        """Forward DT-CWT of the thermal frame."""
-
-    @abstractmethod
-    def fuse(self, task: Any, ctx: Optional[object] = None) -> None:
-        """Coefficient fusion + inverse DT-CWT."""
-
     def process_batch(self, tasks: Sequence[Any]) -> None:
-        """Compute a micro-batch of ingested tasks (forward x2, fuse).
+        """Compute a micro-batch of ingested tasks (every stage between
+        ingest and finalize).
 
         The batch executor's hook: a processor that can stack frames
         through one transform invocation overrides this to amortize

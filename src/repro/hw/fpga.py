@@ -281,7 +281,10 @@ class FpgaEngine(Engine):
     def _schedule(self, passes: List[FilterPass], direction: str
                   ) -> TimingBreakdown:
         driver = WaveletDriver(self.platform)
-        costs = [self._pass_cost(p) for p in passes]
+        # a frame repeats a handful of distinct sweeps hundreds of
+        # times: cost each distinct pass once
+        unique = {p: self._pass_cost(p) for p in dict.fromkeys(passes)}
+        costs = [unique[p] for p in passes]
         return driver.schedule(costs, double_buffered=self.double_buffered)
 
     def _coefficient_load_s(self, levels: int, primitive_calls: int) -> float:

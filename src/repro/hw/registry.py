@@ -1,13 +1,10 @@
 """Single engine registry shared by every layer of the system.
 
-Before this module existed the package built engines in three places
-(`system.fusion_system.make_engine`, `core.adaptive.default_engines`
-and ad-hoc dictionaries in the advanced session) with three slightly
-different spellings.  The registry makes the set of execution
-configurations a single extensible table: the session facade, the CLI
-and the schedulers all resolve engine names here, and an out-of-tree
-backend can call :func:`register_engine` to become selectable by name
-everywhere at once.
+The registry makes the set of execution configurations a single
+extensible table: the session facade, the CLI and the schedulers all
+resolve engine names here, and an out-of-tree backend can call
+:func:`register_engine` to become selectable by name everywhere at
+once.
 """
 
 from __future__ import annotations

@@ -106,31 +106,29 @@ class WorkModel:
 
         rows, cols = sizes[0]
         # level 1, undecimated: one pass per column on the image, then one
-        # pass per row on each of the two column-filtered arrays.
-        for _ in range(cols):
-            passes.append(_make_pass(1, "forward", rows, t1 // 2,
-                                     macs=rows * t1,
-                                     words_in=rows, words_out=2 * rows))
-        for _ in range(2 * rows):
-            passes.append(_make_pass(1, "forward", cols, t1 // 2,
-                                     macs=cols * t1,
-                                     words_in=cols, words_out=2 * cols))
+        # pass per row on each of the two column-filtered arrays.  The
+        # sweeps of one loop are identical, so they share one (frozen)
+        # FilterPass.
+        passes += [_make_pass(1, "forward", rows, t1 // 2,
+                              macs=rows * t1,
+                              words_in=rows, words_out=2 * rows)] * cols
+        passes += [_make_pass(1, "forward", cols, t1 // 2,
+                              macs=cols * t1,
+                              words_in=cols, words_out=2 * cols)] * (2 * rows)
 
         # levels >= 2: per tree, decimating dual-filter sweeps.
         for level in range(2, self.levels + 1):
             lrows, lcols = sizes[level - 1]
             out_r, out_c = (lrows + 1) // 2, (lcols + 1) // 2
+            column = _make_pass(level, "forward", out_r, tq,
+                                macs=out_r * 2 * tq,
+                                words_in=lrows, words_out=2 * out_r)
+            row = _make_pass(level, "forward", out_c, tq,
+                             macs=out_c * 2 * tq,
+                             words_in=lcols, words_out=2 * out_c)
             for _tree in range(4):
-                for _ in range(lcols):           # column sweeps
-                    passes.append(_make_pass(level, "forward", out_r, tq,
-                                             macs=out_r * 2 * tq,
-                                             words_in=lrows,
-                                             words_out=2 * out_r))
-                for _ in range(2 * out_r):       # row sweeps on lo_v and hi_v
-                    passes.append(_make_pass(level, "forward", out_c, tq,
-                                             macs=out_c * 2 * tq,
-                                             words_in=lcols,
-                                             words_out=2 * out_c))
+                passes += [column] * lcols       # column sweeps
+                passes += [row] * (2 * out_r)    # row sweeps on lo_v and hi_v
         return passes
 
     def inverse_passes(self) -> List[FilterPass]:
@@ -143,30 +141,26 @@ class WorkModel:
         for level in range(self.levels, 1, -1):
             lrows, lcols = sizes[level - 1]
             in_r, in_c = (lrows + 1) // 2, (lcols + 1) // 2
+            row = _make_pass(level, "inverse", lcols, tq,
+                             macs=lcols * tq,
+                             words_in=2 * in_c, words_out=lcols)
+            column = _make_pass(level, "inverse", lrows, tq,
+                                macs=lrows * tq,
+                                words_in=2 * in_r, words_out=lrows)
             for _tree in range(4):
                 # row synthesis: (ll,lh)->lo_v and (hl,hh)->hi_v
-                for _ in range(2 * in_r):
-                    passes.append(_make_pass(level, "inverse", lcols, tq,
-                                             macs=lcols * tq,
-                                             words_in=2 * in_c,
-                                             words_out=lcols))
+                passes += [row] * (2 * in_r)
                 # column synthesis: (lo_v,hi_v) -> tree low-pass
-                for _ in range(lcols):
-                    passes.append(_make_pass(level, "inverse", lrows, tq,
-                                             macs=lrows * tq,
-                                             words_in=2 * in_r,
-                                             words_out=lrows))
+                passes += [column] * lcols
 
         rows, cols = sizes[0]
         # level 1 synthesis: rows of the four U arrays, then columns.
-        for _ in range(2 * rows):
-            passes.append(_make_pass(1, "inverse", cols, t1 // 2,
-                                     macs=cols * t1,
-                                     words_in=2 * cols, words_out=cols))
-        for _ in range(cols):
-            passes.append(_make_pass(1, "inverse", rows, t1 // 2,
-                                     macs=rows * t1,
-                                     words_in=2 * rows, words_out=rows))
+        passes += [_make_pass(1, "inverse", cols, t1 // 2,
+                              macs=cols * t1,
+                              words_in=2 * cols, words_out=cols)] * (2 * rows)
+        passes += [_make_pass(1, "inverse", rows, t1 // 2,
+                              macs=rows * t1,
+                              words_in=2 * rows, words_out=rows)] * cols
         return passes
 
     # ------------------------------------------------------------------

@@ -75,7 +75,7 @@ from ..exec.base import ensure_source_open
 from ..hw.registry import create_engine
 from ..session.config import FusionConfig
 from ..session.report import FusedFrameResult, FusionReport
-from ..session.session import FusionSession
+from ..session.session import FusionSession, required_engines
 from ..session.sources import FrameSource, as_frame_source
 from .admission import AdmissionController
 from .ops import (BEST_EFFORT, EventLog, MetricsRegistry, ShedPolicy,
@@ -88,6 +88,20 @@ _HOST = "host"
 
 #: the empty ledger shape (per stream and for the running totals)
 _LEDGER_KEYS = ("offered", "admitted", "shed", "finalized", "errored")
+
+
+def check_pool_covers(name: str, config: FusionConfig,
+                      pool: EnginePool) -> None:
+    """Refuse stream ``name`` when ``pool`` stocks no instance of an
+    engine its frames may be assigned to (see
+    :func:`~repro.session.session.required_engines`)."""
+    missing = [engine for engine in required_engines(config)
+               if pool.count(engine) == 0]
+    if missing:
+        raise ConfigurationError(
+            f"stream {name!r} may select engine(s) {missing} but "
+            f"the pool only holds {dict(pool.stats()['inventory'])}; "
+            f"add instances or pin the stream to a pooled engine")
 
 
 class StreamSpec:
@@ -231,13 +245,6 @@ class _StreamState:
                              else spec.config.batch_size)
         self.seconds_by_engine, self.est_mj_per_frame = \
             self._estimate_costs()
-
-    def required_engines(self) -> Tuple[str, ...]:
-        """Engine names frames of this stream may be assigned to."""
-        session = self.session
-        if session.scheduler is not None:  # online: the whole probe set
-            return tuple(e.name for e in session.scheduler.engines)
-        return (session._engine.name,)
 
     def _estimate_costs(self) -> Tuple[Dict[str, float], float]:
         """Modelled per-frame cost from the planner's cost model:
@@ -509,14 +516,12 @@ class FusionService:
         # session construction is heavy: do it outside the condition,
         # then re-validate registration under it
         state = _StreamState(spec, index=index)
-        missing = [engine for engine in state.required_engines()
-                   if self.pool.count(engine) == 0]
-        if missing:
+        try:
+            # the session's config: autotuning already resolved
+            check_pool_covers(name, state.session.config, self.pool)
+        except ConfigurationError:
             state.close()
-            raise ConfigurationError(
-                f"stream {name!r} may select engine(s) {missing} but "
-                f"the pool only holds {dict(self.pool.stats()['inventory'])}; "
-                f"add instances or pin the stream to a pooled engine")
+            raise
         # a grant can never need more frames than admission allows to
         # accumulate, or batch-ready dispatch would deadlock against
         # the very bounds that protect the service

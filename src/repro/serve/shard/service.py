@@ -50,7 +50,7 @@ from ..ops import (EventLog, MetricsRegistry, ShedPolicy, SLORejection,
                    StreamSLO, merge_snapshots, render_snapshot)
 from ..pool import EnginePool
 from ..report import ServiceReport
-from ..service import _LEDGER_KEYS
+from ..service import _LEDGER_KEYS, check_pool_covers
 from .broker import LeaseBroker
 from .partition import ShardAssigner, partition_streams
 from .ring import CLEANUP, FrameRing
@@ -254,10 +254,11 @@ class ShardedFusionService:
                **config_overrides) -> _StreamEntry:
         """Admit one stream (pre-start registration or live attach).
 
-        Pre-start, validation that needs a running shard — SLO
-        feasibility, engine availability — surfaces at :meth:`start`;
-        on a live service this blocks until the stream's shard
-        acknowledged the attach (re-raising its rejection here)."""
+        Pre-start, validation surfaces at :meth:`start`: engine
+        availability before any shard spawns, SLO feasibility once the
+        stream's shard runs.  On a live service this blocks until the
+        stream's shard acknowledged the attach (re-raising its
+        rejection here)."""
         if self._finished:
             raise FusionError(
                 "service is closed; create a new ShardedFusionService")
@@ -485,18 +486,22 @@ class ShardedFusionService:
                 "construct with live=True to attach at runtime)")
         inventory = {name: self.pool.count(name)
                      for name in self.pool.names()}
-        placement = partition_streams([e.name for e in pre], self.shards)
-        # seed the live assigner with the closed-form partition so
-        # later live attaches balance against the pre-start load
-        for name in sorted(placement):
-            shard = self._assigner.assign(name)
-            assert shard == placement[name]
-        for entry in pre:
-            entry.shard = placement[entry.name]
-
         pool_child_ends = []
         control_child_ends = []
         try:
+            # fail fast: a stream the pool cannot serve is refused
+            # before any shard process exists
+            for entry in pre:
+                check_pool_covers(entry.name, entry.config, self.pool)
+            placement = partition_streams([e.name for e in pre],
+                                          self.shards)
+            # seed the live assigner with the closed-form partition so
+            # later live attaches balance against the pre-start load
+            for name in sorted(placement):
+                shard = self._assigner.assign(name)
+                assert shard == placement[name]
+            for entry in pre:
+                entry.shard = placement[entry.name]
             for index in range(self.shards):
                 handle = _ShardHandle(index)
                 handle.control, control_child = self._ctx.Pipe(duplex=True)
@@ -557,7 +562,6 @@ class ShardedFusionService:
             for entry in pre:
                 self._attach_on_shard(entry)
         except BaseException:
-            self._closing.set()
             self._teardown()
             self._finished = True
             raise
@@ -793,19 +797,16 @@ class ShardedFusionService:
             self.events.emit("service", phase="close")
 
     def _teardown(self) -> None:
-        """Join shard processes (escalating to kill), stop parent
-        threads, unlink every shared-memory segment."""
-        self._closing.set()
-        # close the parent pipe ends first: a shard still blocked in
-        # recv sees EOF and exits instead of riding out a join timeout
+        """Stop and join shard processes (escalating to kill), stop
+        parent threads, unlink every shared-memory segment."""
+        # tell every shard still serving to stop.  Closing the parent
+        # pipe ends is no signal: each forked shard inherited copies of
+        # them, so a shard waiting in recv would never see EOF.  The
+        # parent threads keep serving the pipes and the results ring
+        # until the shards are joined, so none blocks on a reply.
         for handle in self._handles:
-            for conn in (handle.control,
-                         getattr(handle, "pool_parent", None)):
-                if conn is not None:
-                    try:
-                        conn.close()
-                    except OSError:  # pragma: no cover - already closed
-                        pass
+            if not handle.dead and not handle.drained.is_set():
+                handle.send(("cancel",))
         for handle in self._handles:
             process = handle.process
             if process is None:
@@ -817,6 +818,15 @@ class ShardedFusionService:
             if process.is_alive():  # pragma: no cover - very stuck
                 process.kill()
                 process.join(timeout=2.0)
+        self._closing.set()
+        for handle in self._handles:
+            for conn in (handle.control,
+                         getattr(handle, "pool_parent", None)):
+                if conn is not None:
+                    try:
+                        conn.close()
+                    except OSError:  # pragma: no cover - already closed
+                        pass
         if self._broker is not None:
             self._broker.stop()
         for thread in self._threads:

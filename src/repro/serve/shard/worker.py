@@ -236,8 +236,7 @@ def shard_main(shard_id: int, control, in_ring: FrameRing,
                 message = control.recv()
             except (EOFError, OSError):
                 # parent died: tear down, never hang as an orphan
-                service.cancel()
-                break
+                message = ("cancel",)
             op = message[0]
             if op == "attach":
                 spec = message[1]

@@ -1,9 +1,9 @@
 """The fusion session facade: one object, every way to run the system.
 
-:class:`FusionSession` subsumes the old ``VideoFusionSystem`` (batch
-runs over the modelled capture chain) and ``AdvancedFusionSession``
-(online scheduling, registration, temporal fusion, monitoring,
-telemetry) behind one configured object with three entry points:
+:class:`FusionSession` runs the whole system — batch runs over the
+modelled capture chain, online scheduling, registration, temporal
+fusion, monitoring, telemetry — behind one configured object with
+three entry points:
 
 * :meth:`process` — fuse one (visible, thermal) pair;
 * :meth:`stream` — iterate any :class:`FrameSource`, yielding a
@@ -107,10 +107,9 @@ class _FrameTask:
     """One frame group in flight between the processor's stages.
 
     ``frames[s]`` / ``pyramids[s]`` hold source ``s``'s normalized
-    frame and forward pyramid; the ``visible`` / ``thermal`` /
-    ``pyr_visible`` / ``pyr_thermal`` accessors keep the pairwise
-    stage API (and custom ``map`` stages written against it) working
-    on any group.
+    frame and forward pyramid; the ``visible`` / ``thermal`` accessors
+    name sources 0 and 1 for custom ``map`` stages written against
+    the paper's pair.
     """
 
     index: int
@@ -144,22 +143,6 @@ class _FrameTask:
     @thermal.setter
     def thermal(self, value: np.ndarray) -> None:
         self.frames[1] = value
-
-    @property
-    def pyr_visible(self) -> object:
-        return self.pyramids[0]
-
-    @pyr_visible.setter
-    def pyr_visible(self, value: object) -> None:
-        self.pyramids[0] = value
-
-    @property
-    def pyr_thermal(self) -> object:
-        return self.pyramids[1]
-
-    @pyr_thermal.setter
-    def pyr_thermal(self, value: object) -> None:
-        self.pyramids[1] = value
 
 
 class _WorkerContext:
@@ -253,10 +236,6 @@ class _SessionProcessor(FrameProcessor):
 
     # -- plan hints the executors interpret -----------------------------
     @property
-    def sequential_fuse(self) -> bool:
-        return self.plan.sequential_mid
-
-    @property
     def sequential_mid(self) -> bool:
         return self.plan.sequential_mid
 
@@ -287,15 +266,6 @@ class _SessionProcessor(FrameProcessor):
         processor was built (copy; safe to keep as a mark)."""
         with self._wall_lock:
             return dict(self._stage_wall)
-
-    def stage_wall_since(self, mark: Dict[str, float]
-                         ) -> Dict[str, float]:
-        """Per-stage wall seconds accumulated since ``mark`` (one
-        drive's attribution; processors outlive drives)."""
-        now = self.stage_wall_snapshot()
-        return {name: seconds - mark.get(name, 0.0)
-                for name, seconds in now.items()
-                if seconds - mark.get(name, 0.0) > 0.0}
 
     def make_contexts(self, n, engines=None):
         session = self._session
@@ -541,21 +511,6 @@ class _SessionProcessor(FrameProcessor):
                 engine = ctx.engine
         return ctx.lane(engine), engine
 
-    # legacy per-stage entry points (the ABC contract); plan-driven
-    # executors go through run_stage with the plan's own names
-    def forward_visible(self, task: _FrameTask,
-                        ctx: Optional[_WorkerContext] = None) -> None:
-        self.run_stage("visible", task, ctx)
-
-    def forward_thermal(self, task: _FrameTask,
-                        ctx: Optional[_WorkerContext] = None) -> None:
-        self.run_stage("thermal", task, ctx)
-
-    def fuse(self, task: _FrameTask,
-             ctx: Optional[_WorkerContext] = None) -> None:
-        name = "temporal" if "temporal" in self.plan else "fuse"
-        self.run_stage(name, task, ctx)
-
     def process_batch(self, tasks) -> None:
         """Batch-executor hook, interpreting the plan's batch groups.
 
@@ -761,6 +716,31 @@ def _precision_candidates(config: FusionConfig):
     return precision_candidates(config.precision)
 
 
+def _adaptive_decision(config: FusionConfig) -> Decision:
+    """The cost model's engine choice for an ``adaptive`` config."""
+    chooser = CostModelScheduler(engines=_precision_candidates(config),
+                                 objective=config.objective,
+                                 power_model=config.power_model)
+    return chooser.choose(config.fusion_shape, config.levels)
+
+
+def required_engines(config: FusionConfig) -> Tuple[str, ...]:
+    """Names of every engine a :class:`FusionSession` on ``config`` may
+    assign frames to — what a shared engine pool must stock to serve
+    it.  Resolves the config the way the session does (autotuning,
+    then the online probe set, the adaptive cost-model choice or the
+    named engine) without building the session."""
+    if config.autotune:
+        from ..graph.autotune import PlanAutotuner
+        tuner = PlanAutotuner(cache_dir=config.plan_cache_dir)
+        config = tuner.decide(config).apply(config)
+    if config.engine == "online":
+        return tuple(engine.name for engine in _precision_candidates(config))
+    if config.engine == "adaptive":
+        return (_adaptive_decision(config).engine.name,)
+    return (create_engine(config.engine).name,)
+
+
 def build_session_graph(config: FusionConfig) -> FusionGraph:
     """The canonical session dataflow for ``config``, with its
     ``graph_overrides`` applied — the exact graph a
@@ -817,7 +797,6 @@ class FusionSession:
             config = self.autotune_decision.apply(config)
         self.config = config
 
-        shape = config.fusion_shape
         self.decision: Optional[Decision] = None
         self.scheduler: Optional[OnlineScheduler] = None
         if config.engine == "online":
@@ -827,11 +806,7 @@ class FusionSession:
                 reprobe_every=config.reprobe_every)
             self._engine = engines[0]
         elif config.engine == "adaptive":
-            chooser = CostModelScheduler(
-                engines=_precision_candidates(config),
-                objective=config.objective,
-                power_model=config.power_model)
-            self.decision = chooser.choose(shape, config.levels)
+            self.decision = _adaptive_decision(config)
             self._engine = self.decision.engine
             engines = (self._engine,)
         else:

@@ -351,9 +351,8 @@ class CaptureChainSource(FrameSource):
     grayscaled on the PS; thermal frames are rendered, encoded as
     BT.656 bytes, decoded by the PL decoder model, scaled 720x243 ->
     640x480 and buffered through the handshaked output FIFO.  The
-    wiring itself is the shared :class:`repro.video.CaptureChain` (the
-    same object :class:`repro.video.FusionPipeline` drives), and its
-    decoder/FIFO statistics are exposed so reports can include
+    wiring itself is the shared :class:`repro.video.CaptureChain`, and
+    its decoder/FIFO statistics are exposed so reports can include
     transport health.
     """
 

@@ -1,16 +1,6 @@
-"""Top-level system assembly (Section VI) and sweep runtime.
+"""The Fig. 9/Fig. 10 sweep runtime: engine models over the paper's
+frame-size grid, laid out the way the figures are."""
 
-The live content of this package is the Fig. 9/Fig. 10 sweep runtime;
-the pre-session entry points (``VideoFusionSystem``,
-``AdvancedFusionSession`` and friends) are deprecated re-export stubs
-resolved lazily, so importing :mod:`repro` or :mod:`repro.system`
-stays warning-free — only *touching* a deprecated name warns.
-"""
-
-# imported from the one real implementation, not the .telemetry shim,
-# so `import repro.system` stays warning-free; only explicit use of
-# the deprecated module path triggers its DeprecationWarning
-from ..session.telemetry import FrameTelemetry, TelemetrySummary
 from .runtime import (
     SweepRow,
     energy_sweep,
@@ -22,30 +12,7 @@ from .runtime import (
     total_time_sweep,
 )
 
-#: Deprecated attribute -> shim module that resolves (and warns for) it.
-_DEPRECATED = {
-    "ENGINE_NAMES": "fusion_system",
-    "SystemReport": "fusion_system",
-    "VideoFusionSystem": "fusion_system",
-    "make_engine": "fusion_system",
-    "AdvancedFusionSession": "advanced",
-    "SessionReport": "advanced",
-}
-
 __all__ = [
     "SweepRow", "energy_sweep", "find_crossover", "format_rows",
     "forward_stage_sweep", "inverse_stage_sweep", "sweep", "total_time_sweep",
-    "FrameTelemetry", "TelemetrySummary",
 ]
-
-
-def __getattr__(name: str):
-    module = _DEPRECATED.get(name)
-    if module is not None:
-        from importlib import import_module
-        return getattr(import_module(f".{module}", __package__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_DEPRECATED))

@@ -23,7 +23,7 @@ class TestFuse:
         vis, th = structured_pair
         result = ImageFusion(levels=2).fuse(vis, th)
         assert isinstance(result, FusionResult)
-        assert result.pyramid_a.levels == 2
+        assert result.pyramids[0].levels == 2
         assert result.pyramid_fused.levels == 2
         assert result.fused.shape == vis.shape
 
@@ -90,7 +90,7 @@ class TestFuseBatch:
         th = rng.standard_normal((2, 32, 32))
         result = ImageFusion(levels=2).fuse_batch(vis, th)[1]
         assert isinstance(result, FusionResult)
-        assert result.pyramid_a.levels == 2
+        assert result.pyramids[0].levels == 2
         assert result.fused.shape == (32, 32)
 
     def test_staged_batch_api_composes(self, rng):

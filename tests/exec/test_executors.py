@@ -527,14 +527,9 @@ class _SleepyProcessor(FrameProcessor):
     def ingest(self, pair, index):
         return {"index": index}
 
-    def forward_visible(self, task, ctx=None):
-        time.sleep(0.01)
-
-    def forward_thermal(self, task, ctx=None):
-        time.sleep(0.01)
-
-    def fuse(self, task, ctx=None):
-        pass
+    def run_stage(self, name, task, ctx=None):
+        if name != "fuse":
+            time.sleep(0.01)
 
     def finalize(self, task):
         return task["index"]

@@ -1,13 +1,12 @@
-"""Full-stack integration: faults, recording, and the advanced session."""
+"""Full-stack integration: faults, recording, and the full-featured session."""
 
 import numpy as np
 import pytest
 
-from repro.hw.neon import NeonEngine
+from repro.session import CaptureChainSource, FusionSession
 from repro.types import FrameShape
 from repro.video.bt656 import Bt656Decoder
 from repro.video.faults import DropoutChannel, NoisyByteChannel, corrupt_stream
-from repro.video.pipeline import FusionPipeline
 from repro.video.recorder import PgmSequenceSource, StreamRecorder
 from repro.video.scene import SyntheticScene
 from repro.video.thermal import ThermalCameraSimulator
@@ -65,10 +64,9 @@ class TestRecordReplay:
         """Record a pipeline's fused output, play it back, and get the
         same frames — the reproducibility workflow."""
         scene = SyntheticScene(width=96, height=80, seed=13)
-        pipeline = FusionPipeline(engine=NeonEngine(),
-                                  fusion_shape=FrameShape(40, 40),
-                                  levels=2, scene=scene)
-        report = pipeline.run(3)
+        with FusionSession(engine="neon", fusion_shape=FrameShape(40, 40),
+                           levels=2, quality_metrics=False) as session:
+            report = session.run(3, source=CaptureChainSource(scene=scene))
         with StreamRecorder(tmp_path / "session") as recorder:
             for record in report.records:
                 recorder.write(record.frame)

@@ -1,5 +1,6 @@
 """FusionService: N-stream parity, admission, leases, energy accounting."""
 
+import json
 import threading
 import time
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, FusionError
+from repro.graph.autotune import CACHE_VERSION, PlanAutotuner
 from repro.serve import EnginePool, FusionService
 from repro.session import (
     FramePair,
@@ -15,6 +17,7 @@ from repro.session import (
     FusionSession,
     SyntheticSource,
 )
+from repro.session.session import required_engines
 from repro.types import FrameShape
 
 SMALL = FrameShape(32, 24)
@@ -347,6 +350,45 @@ class TestServiceValidation:
         with pytest.raises(ConfigurationError, match="arm"):
             service.add_stream("s", config=config(engine="online"),
                                source=SyntheticSource(seed=1), frames=1)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(engine="neon"), dict(engine="fpga"), dict(engine="online"),
+        dict(engine="online", precision="float64"),
+        dict(engine="adaptive", fusion_shape=SMALL),
+        dict(engine="adaptive", fusion_shape=FrameShape(88, 72)),
+        dict(engine="adaptive", fusion_shape=FrameShape(88, 72),
+             precision="float64"),
+        dict(engine="adaptive", objective="time"),
+    ])
+    def test_required_engines_match_the_session(self, overrides):
+        """The pool-coverage rule resolves a config's engines without
+        building a session, and agrees with the session it would
+        build."""
+        stream_config = config(**overrides)
+        with FusionSession(stream_config) as session:
+            if session.scheduler is not None:
+                expected = tuple(e.name for e in session.scheduler.engines)
+            else:
+                expected = (session.engine.name,)
+        assert required_engines(stream_config) == expected
+
+    def test_required_engines_apply_the_autotuned_plan(self, tmp_path):
+        """An autotuned stream needs the engine its tuned plan picks
+        (here read from a cached decision that moves it to fpga)."""
+        stream_config = config(autotune=True, plan_cache_dir=str(tmp_path))
+        tuner = PlanAutotuner(cache_dir=str(tmp_path))
+        key = tuner.cache_key(stream_config)
+        path = tuner.cache_path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({
+            "version": CACHE_VERSION, "key": key,
+            "shape": [MID.width, MID.height],
+            "overrides": {"engine": "fpga"}, "fps": 10.0}))
+        assert required_engines(stream_config) == ("fpga",)
+        with pytest.raises(ConfigurationError, match="fpga"):
+            FusionService(pool={"neon": 1}).add_stream(
+                "s", config=stream_config,
+                source=SyntheticSource(seed=1), frames=1)
 
     def test_engine_team_config_not_servable(self):
         team_config = config(executor="hetero",

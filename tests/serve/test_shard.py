@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, FusionError
-from repro.serve import ShardedFusionService
+from repro.serve import ShardedFusionService, SLORejection, StreamSLO
 from repro.serve.shard import (FrameRing, ShardAssigner, partition_streams)
 from repro.serve.shard.ring import SEGMENT_PREFIX, RingClosed
 from repro.session import FusionConfig, FusionSession, SyntheticSource
@@ -347,17 +347,37 @@ class TestShmCleanup:
 
     def test_start_failure_leaks_nothing(self):
         before = shard_segments()
-        # 'doomed' wants an engine the pool does not stock; the shard
-        # rejects the attach during start(), which must tear down
+        # 'doomed' wants an engine the pool does not stock: start()
+        # refuses it before spawning any shard
         service = ShardedFusionService(pool={"neon": 1, "arm": 1},
                                        shards=2)
         service.add_stream("ok", config=config(), frames=2,
                            source=SyntheticSource(seed=1))
         service.add_stream("doomed", config=config(engine="fpga"),
                            frames=2, source=SyntheticSource(seed=2))
-        with pytest.raises(ConfigurationError):
+        started = time.monotonic()
+        with pytest.raises(ConfigurationError, match="fpga"):
             service.start()
         service.close()
+        assert time.monotonic() - started < 1.0
+        assert shard_segments() == before
+
+    def test_failure_after_spawn_tears_down_promptly(self):
+        before = shard_segments()
+        # 'doomed' asks for a frame rate the pool cannot sustain; its
+        # shard rejects the attach once both shards are up
+        service = ShardedFusionService(pool={"neon": 1, "arm": 1},
+                                       shards=2)
+        service.add_stream("ok", config=config(), frames=2,
+                           source=SyntheticSource(seed=1))
+        service.add_stream("doomed", config=config(), frames=2,
+                           source=SyntheticSource(seed=2),
+                           slo=StreamSLO(target_fps=1e5))
+        started = time.monotonic()
+        with pytest.raises(SLORejection):
+            service.start()
+        service.close()
+        assert time.monotonic() - started < 2.0
         assert shard_segments() == before
 
 
