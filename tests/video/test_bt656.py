@@ -1,5 +1,7 @@
 """BT.656 codec: timing codes, roundtrip fidelity, error resilience."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,22 @@ from repro.errors import DecodeError
 from repro.video.bt656 import (
     Bt656Config,
     Bt656Decoder,
+    DecoderStats,
     _VALID_XY,
     _xy_code,
     encode_frame,
 )
+from repro.video.faults import NoisyByteChannel
+from repro.video.scene import SyntheticScene
+from repro.video.thermal import ThermalCameraSimulator
+
+#: SHA-256 over the decoded fields (shape, dtype and pixels) of three
+#: default-geometry thermal captures from SyntheticScene(seed=2016),
+#: decoded clean and then through NoisyByteChannel(1e-3, seed=1); pins
+#: the decoder's output bit for bit, including the frames it rebuilds
+#: from a corrupted stream
+DECODE_GOLDEN_SHA256 = (
+    "760a76b2818d77e59332db9c89c3ac682367363fe12915fcaff46993069baea2")
 
 
 class TestXyCodes:
@@ -31,6 +45,13 @@ class TestXyCodes:
                     assert (code >> 2) & 1 == f ^ h
                     assert (code >> 1) & 1 == f ^ v
                     assert code & 1 == f ^ v ^ h
+
+    def test_codes_are_four_bits_apart(self):
+        """Minimum distance 4: a single-bit error is one bit from exactly
+        one valid code, so the decoder's correction is never ambiguous."""
+        codes = list(_VALID_XY)
+        assert min(bin(a ^ b).count("1")
+                   for i, a in enumerate(codes) for b in codes[i + 1:]) == 4
 
     def test_known_sav_eav_values(self):
         """The classic field-0 active-video codes: SAV=0x80, EAV=0x9D."""
@@ -143,3 +164,25 @@ class TestErrorResilience:
         decoder.push_bytes(encode_frame(frame, config))
         assert decoder.stats.lines == 16
         assert decoder.stats.frames == 1
+
+
+class TestDecoderGolden:
+    def test_default_geometry_digest_and_stats(self):
+        camera = ThermalCameraSimulator(SyntheticScene(seed=2016))
+        clean = [camera.capture_bt656() for _ in range(3)]
+        channel = NoisyByteChannel(1e-3, seed=1)
+        noisy = [channel.transmit(stream) for stream in clean]
+        digest = hashlib.sha256()
+        stats = []
+        for streams in (clean, noisy):
+            decoder = Bt656Decoder()
+            for stream in streams:
+                for frame in decoder.push_bytes(stream):
+                    digest.update(repr((frame.shape, frame.dtype.str)).encode())
+                    digest.update(frame.tobytes())
+            stats.append(decoder.stats)
+        assert digest.hexdigest() == DECODE_GOLDEN_SHA256
+        assert stats == [
+            DecoderStats(frames=3, lines=729),
+            DecoderStats(frames=3, lines=686, corrected_xy=15, resyncs=5),
+        ]
