@@ -3,11 +3,11 @@
 Two cooperating pieces:
 
 * :class:`HlsBackend` — a functional kernel backend that slices every
-  2-D filtering primitive into halo-extended lines and pushes them
-  through the :class:`~repro.hw.hls.HlsWaveletEngine` datapath model,
-  exactly the way the user-space application feeds the real accelerator
-  through the kernel driver's mmap'd buffers.  Arithmetic is float32,
-  like the synthesized engine.
+  2-D filtering primitive into halo-extended lines, the way the
+  user-space application feeds the real accelerator through the kernel
+  driver's mmap'd buffers, and runs each primitive's lines as one
+  sheet job on the :class:`~repro.hw.hls.HlsWaveletEngine` datapath
+  model.  Arithmetic is float32, like the synthesized engine.
 * :class:`FpgaEngine` — the timing/energy side: it converts the shared
   work model into per-invocation :class:`~repro.hw.driver.PassCost`
   records (user memcpy, AXI-Lite commands, driver activation, PL
@@ -54,7 +54,11 @@ def pad_filter_pair(h0: np.ndarray, c0: int, h1: np.ndarray, c1: int
 
 
 class HlsBackend(KernelBackend):
-    """Kernel backend executing every line on the HLS engine model."""
+    """Kernel backend executing every line on the HLS engine model.
+
+    Synthesis primitives raise :class:`~repro.errors.EngineError` when
+    their two channels differ in shape.
+    """
 
     name = "fpga"
 
@@ -75,13 +79,15 @@ class HlsBackend(KernelBackend):
 
     # -- line plumbing ----------------------------------------------------
     #
-    # The engine is strictly line-oriented, so every primitive first
-    # collapses its input to a ``(n_lines, line_len)`` sheet with the
-    # filtered axis last.  Shape-polymorphic: a batched ``(N, H, W)``
-    # input simply contributes ``N`` frames' worth of lines to the same
-    # sheet — each line still makes one engine invocation, so the cycle
-    # and transfer accounting of a batched call is exactly the sum of
-    # the per-frame calls.
+    # The engine works on lines, so every primitive first collapses its
+    # input to a ``(n_lines, line_len)`` sheet with the filtered axis
+    # last, gathers the halo-extended lines with one index and runs the
+    # sheet as one engine job.  The job accounts one invocation per
+    # line, as the hardware would run them.  Shape-polymorphic: a
+    # batched ``(N, H, W)`` input simply contributes ``N`` frames' worth
+    # of lines to the same sheet, so its outputs are elementwise those
+    # of the per-frame calls and its cycle and transfer accounting is
+    # exactly their sum.
     @staticmethod
     def _lines(x: np.ndarray, axis: int) -> np.ndarray:
         """Collapse ``x`` to 2-D with the filtered dimension last."""
@@ -113,6 +119,14 @@ class HlsBackend(KernelBackend):
         out = lines.reshape(lead + (lines.shape[-1],))
         return np.swapaxes(out, -1, -2) if swapped else out
 
+    @staticmethod
+    def _check_channels(a: np.ndarray, b: np.ndarray) -> None:
+        if a.shape != b.shape:
+            raise EngineError(
+                f"synthesis channels must match in shape: {a.shape} "
+                f"vs {b.shape}"
+            )
+
     def _check_width(self, n: int) -> None:
         if n > self.driver.area_words:
             raise EngineError(
@@ -131,10 +145,7 @@ class HlsBackend(KernelBackend):
         taps = len(f0)
         self._load(f0, f1)
         ext_idx = (np.arange(n + taps - 1) - (taps - 1) + center) % n
-        lo = np.empty_like(lines)
-        hi = np.empty_like(lines)
-        for i, line in enumerate(lines):
-            lo[i], hi[i], _ = self.engine.forward_line(line[ext_idx], n, step=1)
+        lo, hi, _ = self.engine.forward_lines(lines[:, ext_idx], n, step=1)
         return self._unlines(lo, x, axis), self._unlines(hi, x, axis)
 
     def analysis_d(self, x, h0, h1, axis):
@@ -148,37 +159,35 @@ class HlsBackend(KernelBackend):
         self._load(f0, f1)
         out_len = n // 2
         ext_idx = (np.arange((out_len - 1) * 2 + taps) - (taps - 1)) % n
-        lo = np.empty((lines.shape[0], out_len), dtype=np.float32)
-        hi = np.empty_like(lo)
-        for i, line in enumerate(lines):
-            lo[i], hi[i], _ = self.engine.forward_line(line[ext_idx], out_len,
-                                                       step=2)
+        lo, hi, _ = self.engine.forward_lines(lines[:, ext_idx], out_len,
+                                              step=2)
         return self._unlines(lo, x, axis), self._unlines(hi, x, axis)
 
     def synthesis_d(self, lo, hi, h0, h1, axis):
         lo = np.asarray(lo, dtype=np.float32)
+        hi = np.asarray(hi, dtype=np.float32)
+        self._check_channels(lo, hi)
         lo_l = self._lines(lo, axis)
         hi_l = self._lines(hi, axis)
-        half = lo_l.shape[1]
-        n = half * 2
+        n = lo_l.shape[1] * 2
         self._check_width(n)
         f0 = np.asarray(h0, dtype=np.float32)
         f1 = np.asarray(h1, dtype=np.float32)
         taps = len(f0)
         self._load(f0, f1)
         ext_idx = np.arange(n + taps - 1) % n
-        out = np.empty((lo_l.shape[0], n), dtype=np.float32)
-        for i in range(lo_l.shape[0]):
-            up_lo = np.zeros(n, dtype=np.float32)
-            up_hi = np.zeros(n, dtype=np.float32)
-            up_lo[0::2] = lo_l[i]
-            up_hi[0::2] = hi_l[i]
-            out[i], _ = self.engine.inverse_line(up_lo[ext_idx],
-                                                 up_hi[ext_idx], n)
+        up_lo = np.zeros((lo_l.shape[0], n), dtype=np.float32)
+        up_hi = np.zeros_like(up_lo)
+        up_lo[:, 0::2] = lo_l
+        up_hi[:, 0::2] = hi_l
+        out, _ = self.engine.inverse_lines(up_lo[:, ext_idx],
+                                           up_hi[:, ext_idx], n)
         return self._unlines(out, lo, axis)
 
     def synthesis_u(self, u0, u1, g0, c0, g1, c1, axis):
         u0 = np.asarray(u0, dtype=np.float32)
+        u1 = np.asarray(u1, dtype=np.float32)
+        self._check_channels(u0, u1)
         u0_l = self._lines(u0, axis)
         u1_l = self._lines(u1, axis)
         n = u0_l.shape[1]
@@ -190,10 +199,8 @@ class HlsBackend(KernelBackend):
         # the centered convolution of the level-1 synthesis identity
         self._load(f0[::-1].copy(), f1[::-1].copy())
         ext_idx = (np.arange(n + taps - 1) - (taps - 1) + center) % n
-        out = np.empty_like(u0_l)
-        for i in range(u0_l.shape[0]):
-            out[i], _ = self.engine.inverse_line(u0_l[i][ext_idx],
-                                                 u1_l[i][ext_idx], n)
+        out, _ = self.engine.inverse_lines(u0_l[:, ext_idx],
+                                           u1_l[:, ext_idx], n)
         return self._unlines(out, u0, axis)
 
 

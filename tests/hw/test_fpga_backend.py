@@ -88,6 +88,39 @@ class TestPrimitiveEquality:
             assert np.allclose(out_h, out_r, atol=1e-4)
 
 
+class TestChannelMismatch:
+    """Synthesis channels of different shapes are a loud EngineError,
+    never a silently truncated, misread or broadcast result."""
+
+    MISMATCHES = (
+        ((8, 12), (9, 12)),   # high-pass has an extra line
+        ((8, 12), (7, 12)),   # high-pass is a line short
+        ((8, 12), (1, 12)),   # would broadcast against the low-pass
+        ((8, 12), (8, 11)),   # filtered length differs
+        ((2, 8, 12), (8, 12)),  # stack vs single frame
+    )
+
+    @pytest.mark.parametrize("lo_shape,hi_shape", MISMATCHES)
+    @pytest.mark.parametrize("axis", (0, 1))
+    def test_synthesis_d(self, backend, banks, lo_shape, hi_shape, axis):
+        qs = banks.qshift
+        with pytest.raises(EngineError, match="channels must match"):
+            backend.synthesis_d(np.ones(lo_shape, np.float32),
+                                np.ones(hi_shape, np.float32),
+                                qs.h0a, qs.h1a, axis)
+        assert backend.engine.stats.invocations == 0
+
+    @pytest.mark.parametrize("u0_shape,u1_shape", MISMATCHES)
+    @pytest.mark.parametrize("axis", (0, 1))
+    def test_synthesis_u(self, backend, banks, u0_shape, u1_shape, axis):
+        bank = banks.level1
+        with pytest.raises(EngineError, match="channels must match"):
+            backend.synthesis_u(np.ones(u0_shape, np.float32),
+                                np.ones(u1_shape, np.float32),
+                                bank.g0, bank.c_g0, bank.g1, bank.c_g1, axis)
+        assert backend.engine.stats.invocations == 0
+
+
 class TestFullTransformOnHls:
     def test_roundtrip_through_hardware_path(self, rng):
         x = rng.standard_normal((24, 32)).astype(np.float32)

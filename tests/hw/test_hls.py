@@ -7,6 +7,7 @@ from repro.errors import EngineError
 from repro.hw.hls import (
     HlsWaveletEngine,
     MODE_IDLE,
+    shift_register_dual_channel,
     shift_register_dual_fir,
 )
 from repro.hw.platform import ZynqPlatform
@@ -83,8 +84,8 @@ class TestForwardLine:
         ref_hp, ref_lp = shift_register_dual_fir(
             np.concatenate([x, np.zeros(2, np.float32)]),
             hp[::-1].copy(), lp[::-1].copy())
-        assert np.allclose(lp_out, ref_lp[:out_len], atol=1e-4)
-        assert np.allclose(hp_out, ref_hp[:out_len], atol=1e-4)
+        assert np.array_equal(lp_out, ref_lp[:out_len])
+        assert np.array_equal(hp_out, ref_hp[:out_len])
 
     def test_undecimated_step(self, engine, rng):
         taps = 8
@@ -131,10 +132,126 @@ class TestInverseLine:
                         + np.dot(hi[i: i + taps], g1))
             assert np.isclose(out[i], expected, atol=1e-4)
 
+    def test_matches_reference_loop(self, engine, rng):
+        """inverse_line equals the scalar inverse-mode loop bit for bit:
+        two tap-ordered accumulators, summed at the end."""
+        taps = 14
+        out_len = 22
+        g0 = rng.standard_normal(taps).astype(np.float32)
+        g1 = rng.standard_normal(taps).astype(np.float32)
+        engine.load_coefficients(g0, g1)
+        lo = (rng.random(out_len + taps - 1) * 255).astype(np.float32)
+        hi = (rng.random(out_len + taps - 1) * 255).astype(np.float32)
+        out, _ = engine.inverse_line(lo, hi, out_len)
+        assert np.array_equal(out, shift_register_dual_channel(lo, hi, g0, g1))
+
     def test_channel_length_mismatch(self, engine):
         engine.load_coefficients(np.ones(8), np.ones(8))
         with pytest.raises(EngineError):
             engine.inverse_line(np.zeros(20), np.zeros(19), 12)
+
+    def test_requires_coefficients(self, engine):
+        with pytest.raises(EngineError):
+            engine.inverse_line(np.zeros(20), np.zeros(20), 12)
+
+    def test_short_line_rejected(self, engine):
+        engine.load_coefficients(np.ones(8), np.ones(8))
+        with pytest.raises(EngineError):
+            engine.inverse_line(np.zeros(18), np.zeros(18), 12)
+
+
+class TestDualChannelReference:
+    def test_matches_numpy_correlation(self, rng):
+        taps = 8
+        lp = rng.standard_normal(taps).astype(np.float32)
+        hp = rng.standard_normal(taps).astype(np.float32)
+        lo = rng.standard_normal(20).astype(np.float32)
+        hi = rng.standard_normal(20).astype(np.float32)
+        out = shift_register_dual_channel(lo, hi, lp, hp)
+        assert out.shape == (20 - taps + 1,)
+        for m in range(len(out)):
+            expected = (np.dot(lo[m: m + taps], lp)
+                        + np.dot(hi[m: m + taps], hp))
+            assert np.isclose(out[m], expected, atol=1e-4)
+
+    def test_rejects_mismatched_registers(self):
+        with pytest.raises(EngineError):
+            shift_register_dual_channel(np.zeros(20), np.zeros(20),
+                                        np.zeros(8), np.zeros(6))
+
+    def test_rejects_mismatched_channels(self):
+        with pytest.raises(EngineError):
+            shift_register_dual_channel(np.zeros(20), np.zeros(19),
+                                        np.zeros(8), np.zeros(8))
+
+    def test_rejects_short_input(self):
+        with pytest.raises(EngineError):
+            shift_register_dual_channel(np.zeros(6), np.zeros(6),
+                                        np.zeros(8), np.zeros(8))
+
+
+class TestSheetJobs:
+    """A sheet job is its rows' line jobs: same bits, same counters."""
+
+    def test_forward_rows_match_line_jobs(self, rng):
+        sheet_engine, line_engine = HlsWaveletEngine(), HlsWaveletEngine()
+        lp = rng.standard_normal(14).astype(np.float32)
+        hp = rng.standard_normal(14).astype(np.float32)
+        sheet = rng.standard_normal((5, 2 * 9 + 12)).astype(np.float32)
+        for step, out_len in ((2, 9), (1, 17)):
+            sheet_engine.load_coefficients(lp, hp)
+            line_engine.load_coefficients(lp, hp)
+            lp_out, hp_out, seconds = sheet_engine.forward_lines(
+                sheet, out_len, step)
+            assert lp_out.shape == hp_out.shape == (5, out_len)
+            total = 0.0
+            for row, line in enumerate(sheet):
+                lp_line, hp_line, t = line_engine.forward_line(
+                    line, out_len, step)
+                assert np.array_equal(lp_out[row], lp_line)
+                assert np.array_equal(hp_out[row], hp_line)
+                total += t
+            assert np.isclose(seconds, total)
+        assert sheet_engine.stats == line_engine.stats
+        assert sheet_engine.stats.invocations == 10
+
+    def test_inverse_rows_match_line_jobs(self, rng):
+        sheet_engine, line_engine = HlsWaveletEngine(), HlsWaveletEngine()
+        for eng in (sheet_engine, line_engine):
+            eng.load_coefficients(np.arange(1, 9) / 8.0, -np.arange(8) / 8.0)
+        lo = rng.standard_normal((4, 20)).astype(np.float32)
+        hi = rng.standard_normal((4, 20)).astype(np.float32)
+        out, _ = sheet_engine.inverse_lines(lo, hi, 13)
+        for row in range(4):
+            line, _ = line_engine.inverse_line(lo[row], hi[row], 13)
+            assert np.array_equal(out[row], line)
+        assert sheet_engine.stats == line_engine.stats
+        assert sheet_engine.mode == MODE_IDLE
+
+    def test_empty_sheet_accounts_nothing(self, engine):
+        engine.load_coefficients(np.ones(8), np.ones(8))
+        lp_out, _, seconds = engine.forward_lines(
+            np.zeros((0, 40), np.float32), 16, 2)
+        assert lp_out.shape == (0, 16)
+        assert seconds == 0.0
+        assert engine.stats.invocations == 0
+
+    def test_sheet_must_be_two_dimensional(self, engine):
+        engine.load_coefficients(np.ones(8), np.ones(8))
+        with pytest.raises(EngineError):
+            engine.forward_lines(np.zeros((2, 3, 40)), 16, 2)
+        with pytest.raises(EngineError):
+            engine.forward_line(np.zeros((2, 40)), 16, 2)
+        with pytest.raises(EngineError):
+            engine.inverse_lines(np.zeros(40), np.zeros(40), 16)
+
+    def test_mismatched_channel_sheets_rejected(self, engine):
+        """A (1, n) channel must not broadcast against an (m, n) one."""
+        engine.load_coefficients(np.ones(8), np.ones(8))
+        with pytest.raises(EngineError):
+            engine.inverse_lines(np.zeros((3, 20)), np.zeros((1, 20)), 12)
+        with pytest.raises(EngineError):
+            engine.inverse_lines(np.zeros((3, 20)), np.zeros((4, 20)), 12)
 
 
 class TestCycleModel:
